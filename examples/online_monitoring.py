@@ -5,8 +5,9 @@ Section 6 lists "apply[ing] the global causality capturing technique from
 the on-line perspective for application-level system management" as
 future work. This example runs the PPS while an :class:`OnlineMonitor`
 polls the live per-process log buffers: it watches in-flight invocations,
-accumulates running latency statistics and raises SLO alerts — the
-management hook an adaptive runtime would subscribe to.
+accumulates running latency statistics (the Section-3.2 L(F), probe
+overhead compensated) and raises SLO alerts — the management hook an
+adaptive runtime would subscribe to.
 
 Run:  python examples/online_monitoring.py
 """
@@ -69,11 +70,11 @@ def main() -> None:
     print()
     print("=== Running latency statistics ===")
     stats = sorted(
-        monitor.latency_stats().items(), key=lambda kv: kv[1][1], reverse=True
+        monitor.latency_stats().items(), key=lambda kv: kv[1].mean_ns, reverse=True
     )
-    for function, (count, mean_ns, max_ns) in stats[:8]:
-        print(f"  {function:42s} n={count:3d} mean={format_ns(mean_ns):>9s}"
-              f" max={format_ns(max_ns):>9s}")
+    for function, stat in stats[:8]:
+        print(f"  {function:42s} n={stat.count:3d} mean={format_ns(stat.mean_ns):>9s}"
+              f" p95={format_ns(stat.p95_ns):>9s} max={format_ns(stat.max_ns):>9s}")
 
     print()
     print(f"=== Alerts (SLO 3 ms) — {len(alerts)} raised ===")

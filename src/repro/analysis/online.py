@@ -5,15 +5,22 @@ causality capturing technique from the on-line perspective for
 application-level system management."
 
 The off-line analyzer collects at quiescence; this module consumes probe
-records *as they are produced* and maintains live per-chain state with
-the same Figure-4 state machine semantics, exposing:
+records *as they are produced*. It is a thin consumer of the one live
+engine, :class:`~repro.analysis.streaming.StreamingReconstructor`, which
+re-serializes each chain and runs the same Figure-4
+:class:`~repro.analysis.statemachine.ChainBuilder` the batch analyzer
+uses. On top of it the monitor exposes:
 
 - currently open invocations (who is in flight, where, for how long),
-- per-function running latency statistics,
-- threshold alerts (latency SLO violations, abnormal transitions),
+- per-function running latency statistics — the paper's Section-3.2
+  L(F), compensated for the probe overhead O_F, exactly as
+  :func:`~repro.analysis.latency.latency_report` computes it offline,
+- threshold alerts (latency SLO violations, abnormal transitions and
+  event-number collisions, pending-buffer overflow),
 
 which is exactly the "runtime quality of adaptation" hook the paper
-contrasts with BBN's Resource Status Service.
+contrasts with BBN's Resource Status Service. Like the reconstructor,
+the monitor keeps every chain tree of the run in memory.
 """
 
 from __future__ import annotations
@@ -21,10 +28,13 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
+from repro.analysis.dscg import CallNode
+from repro.analysis.latency import end_to_end_latency
 from repro.analysis.quantiles import P2Quantile
-from repro.core.events import CallKind, TracingEvent
+from repro.analysis.streaming.reconstructor import StreamingReconstructor
+from repro.core.events import TracingEvent
 from repro.core.records import ProbeRecord
 from repro.platform.process import SimProcess
 from repro.telemetry.metrics import (
@@ -49,9 +59,26 @@ class OpenInvocation:
     opened_by: str = "stub"
 
 
+def _open_invocation(node: CallNode) -> OpenInvocation:
+    """The view of one open frame of the reconstructor's live stack."""
+    opener = node.records.get(TracingEvent.STUB_START)
+    opened_by = "stub"
+    if opener is None:
+        opener = node.records[TracingEvent.SKEL_START]
+        opened_by = "skel"
+    return OpenInvocation(
+        function=node.function,
+        object_id=node.object_id,
+        chain_uuid=node.chain_uuid,
+        started_wall_ns=opener.wall_end,
+        depth=node.depth() + 1,
+        opened_by=opened_by,
+    )
+
+
 @dataclass
 class Alert:
-    kind: str  # "latency" | "abnormal"
+    kind: str  # "latency" | "abnormal" | "overflow"
     function: str
     chain_uuid: str
     detail: str
@@ -107,7 +134,14 @@ class OnlineMonitor:
     """Streaming analyzer over live probe records.
 
     Feed records with :meth:`ingest` (or attach to processes and call
-    :meth:`poll`). Thread-safe; alert callbacks fire inline with ingest.
+    :meth:`poll`). Thread-safe; latency alerts fire inline with ingest,
+    abnormal and overflow alerts at the end of the same call.
+
+    ``max_pending`` bounds the reconstructor's buffer of out-of-order
+    records across all chains: a chain whose gap record was lost in
+    flight must not grow the monitor without limit. Overflow drops the
+    incoming record, counts it in :attr:`pending_dropped` and raises one
+    ``overflow`` alert per saturation episode.
     """
 
     def __init__(
@@ -117,15 +151,11 @@ class OnlineMonitor:
         registry: MetricsRegistry | None = None,
         max_pending: int | None = 100_000,
     ):
-        if max_pending is not None and max_pending < 1:
-            raise ValueError("max_pending must be >= 1 (or None for unbounded)")
+        self.reconstructor = StreamingReconstructor(
+            on_complete=self._on_complete, max_pending=max_pending
+        )
         self.latency_slo_ns = latency_slo_ns
         self.on_alert = on_alert
-        #: Bound on buffered out-of-order records across all chains; a
-        #: chain whose gap record was lost in flight must not grow the
-        #: monitor without limit. Overflow drops the incoming record.
-        self.max_pending = max_pending
-        self.pending_dropped = 0
         # Live telemetry pipeline (Section 6, "on-line perspective"):
         # with a registry attached, every ingest keeps scrape-ready
         # gauges/histograms current; without one these are no-ops.
@@ -172,185 +202,106 @@ class OnlineMonitor:
             self._m_abnormal = NULL_COUNTER
             self._m_pending = NULL_GAUGE
             self._m_pending_dropped = NULL_COUNTER
-        self._stacks: dict[str, list[OpenInvocation]] = defaultdict(list)
         self._stats: dict[str, _LiveStats] = defaultdict(_LiveStats)
         self._alerts: list[Alert] = []
-        self._completed_calls = 0
-        self._abnormal = 0
-        self._lock = threading.Lock()
-        self._cursors: dict[int, Any] = {}
-        # Records from different process buffers arrive interleaved; the
-        # FTL's event number lets us re-serialize each chain on the fly.
-        self._expected_seq: dict[str, int] = defaultdict(int)
-        self._pending: dict[str, dict[int, ProbeRecord]] = defaultdict(dict)
-        self._pending_total = 0
+        # How much of the reconstructor's abnormal log and drop count
+        # has already been turned into alerts and metrics.
+        self._abnormal_seen = 0
+        self._dropped_seen = 0
         #: One overflow alert per saturation episode, not one per drop.
         self._overflow_alerted = False
+        self._lock = threading.Lock()
+
+    @property
+    def max_pending(self) -> int | None:
+        return self.reconstructor.max_pending
+
+    @property
+    def pending_dropped(self) -> int:
+        """Out-of-order records dropped because the buffer was full."""
+        return self.reconstructor.pending_dropped
 
     # ------------------------------------------------------------------
 
     def ingest(self, record: ProbeRecord) -> None:
         """Advance live chain state with one record."""
-        with self._lock:
-            self._enqueue_locked(record)
+        self.ingest_many((record,))
 
-    def ingest_many(self, records) -> None:
+    def ingest_many(self, records: Iterable[ProbeRecord]) -> None:
         with self._lock:
-            for record in records:
-                self._enqueue_locked(record)
-
-    def _enqueue_locked(self, record: ProbeRecord) -> None:
-        """Re-serialize per chain by event number before applying."""
-        chain = record.chain_uuid
-        expected = self._expected_seq[chain]
-        if record.event_seq < expected:
-            # A duplicate or an event number collision: genuinely abnormal.
-            self._abnormal_event(record)
-            return
-        if record.event_seq > expected:
-            bucket = self._pending[chain]
-            if record.event_seq not in bucket:
-                if (
-                    self.max_pending is not None
-                    and self._pending_total >= self.max_pending
-                ):
-                    self.pending_dropped += 1
-                    self._m_pending_dropped.inc()
-                    if not self._overflow_alerted:
-                        self._overflow_alerted = True
-                        self._raise_alert(
-                            Alert(
-                                kind="overflow",
-                                function=record.function,
-                                chain_uuid=chain,
-                                detail=f"pending-record buffer full"
-                                f" ({self.max_pending}); dropping"
-                                f" out-of-order records",
-                            )
-                        )
-                    return
-                self._pending_total += 1
-                self._m_pending.inc()
-            bucket[record.event_seq] = record
-            return
-        self._ingest_locked(record)
-        self._expected_seq[chain] = expected + 1
-        pending = self._pending.get(chain)
-        while pending:
-            next_record = pending.pop(self._expected_seq[chain], None)
-            if next_record is None:
-                break
-            self._pending_total -= 1
-            self._m_pending.dec()
-            self._ingest_locked(next_record)
-            self._expected_seq[chain] += 1
-        if (
-            self._overflow_alerted
-            and self.max_pending is not None
-            and self._pending_total < self.max_pending
-        ):
-            self._overflow_alerted = False
+            self.reconstructor.ingest_many(records)
+            self._sync_locked()
 
     def poll(self, processes: list[SimProcess]) -> int:
-        """Pull any new records from process buffers (non-draining).
-
-        Buffers that expose :meth:`~repro.platform.process.LocalLogBuffer.read_from`
-        are read incrementally through its cursor; with per-thread
-        segmented buffers a flat index into ``snapshot()`` would re-read
-        (or skip) records as older segments keep growing.
-        """
-        new = 0
+        """Pull any new records from process buffers (non-draining)."""
         with self._lock:
-            for process in processes:
-                buffer = process.log_buffer
-                read_from = getattr(buffer, "read_from", None)
-                if read_from is not None:
-                    records, cursor = read_from(self._cursors.get(process.pid))
-                    self._cursors[process.pid] = cursor
-                else:
-                    snapshot = buffer.snapshot()
-                    offset = self._cursors.get(process.pid, 0)
-                    records = snapshot[offset:]
-                    self._cursors[process.pid] = len(snapshot)
-                for record in records:
-                    self._enqueue_locked(record)
-                    new += 1
+            new = self.reconstructor.poll(processes)
+            self._sync_locked()
         return new
 
     # ------------------------------------------------------------------
 
-    def _ingest_locked(self, record: ProbeRecord) -> None:
-        stack = self._stacks[record.chain_uuid]
-        event = record.event
-        if event is TracingEvent.STUB_START or (
-            event is TracingEvent.SKEL_START and not stack
-        ):
-            if not stack:
-                self._m_live_chains.inc()
-            stack.append(
-                OpenInvocation(
-                    function=record.function,
-                    object_id=record.object_id,
-                    chain_uuid=record.chain_uuid,
-                    started_wall_ns=record.wall_end,
-                    depth=len(stack) + 1,
-                    opened_by="stub" if event is TracingEvent.STUB_START else "skel",
+    def _on_complete(self, node: CallNode, record: ProbeRecord, index: int) -> None:
+        """A frame closed at its end probe: update stats and metrics.
+
+        Runs inside :meth:`ingest`/:meth:`poll`, under the monitor lock.
+        """
+        self._m_completed.inc()
+        latency = end_to_end_latency(node)
+        if latency is None:
+            return
+        self._stats[node.function].add(latency)
+        self._m_latency.labels(node.function).observe(latency)
+        if self.latency_slo_ns is not None and latency > self.latency_slo_ns:
+            self._m_slo_breaches.inc()
+            self._raise_alert(
+                Alert(
+                    kind="latency",
+                    function=node.function,
+                    chain_uuid=node.chain_uuid,
+                    detail=f"latency {latency}ns exceeds SLO"
+                    f" {self.latency_slo_ns}ns",
+                    latency_ns=latency,
                 )
             )
-            self._m_inflight.inc()
-            return
-        if event in (TracingEvent.SKEL_START, TracingEvent.SKEL_END):
-            if not stack or stack[-1].function != record.function:
-                self._abnormal_event(record)
-            elif event is TracingEvent.SKEL_END and stack[-1].opened_by == "skel":
-                # A frame with no stub side (oneway skeleton side, or an
-                # unmonitored client) completes at skel_end — its measured
-                # window is probe 2 end .. probe 3 start (Section 3.2).
-                self._complete(stack, record)
-            return
-        if event is TracingEvent.STUB_END:
-            if not stack or stack[-1].function != record.function:
-                self._abnormal_event(record)
-                return
-            self._complete(stack, record)
 
-    def _complete(self, stack: list[OpenInvocation], record: ProbeRecord) -> None:
-        """Close the top frame at its end probe; update stats and metrics."""
-        invocation = stack.pop()
-        self._m_inflight.dec()
-        if not stack:
-            del self._stacks[record.chain_uuid]
-            self._m_live_chains.dec()
-        self._completed_calls += 1
-        self._m_completed.inc()
-        if invocation.started_wall_ns is not None and record.wall_start is not None:
-            latency = record.wall_start - invocation.started_wall_ns
-            self._stats[record.function].add(latency)
-            self._m_latency.labels(record.function).observe(latency)
-            if self.latency_slo_ns is not None and latency > self.latency_slo_ns:
-                self._m_slo_breaches.inc()
+    def _sync_locked(self) -> None:
+        """Turn the reconstructor's new abnormal entries and drops into
+        alerts, and refresh the gauges."""
+        reconstructor = self.reconstructor
+        abnormal = reconstructor.abnormal_events
+        for event in abnormal[self._abnormal_seen:]:
+            self._m_abnormal.inc()
+            self._raise_alert(
+                Alert(
+                    kind="abnormal",
+                    function=event.record.function,
+                    chain_uuid=event.chain_uuid,
+                    detail=event.reason,
+                )
+            )
+        self._abnormal_seen = len(abnormal)
+        dropped = reconstructor.pending_dropped
+        if dropped > self._dropped_seen:
+            self._m_pending_dropped.inc(dropped - self._dropped_seen)
+            self._dropped_seen = dropped
+            if not self._overflow_alerted:
+                self._overflow_alerted = True
                 self._raise_alert(
                     Alert(
-                        kind="latency",
-                        function=record.function,
-                        chain_uuid=record.chain_uuid,
-                        detail=f"latency {latency}ns exceeds SLO"
-                        f" {self.latency_slo_ns}ns",
-                        latency_ns=latency,
+                        kind="overflow",
+                        function="",
+                        chain_uuid="",
+                        detail=f"pending-record buffer full"
+                        f" ({self.max_pending}); dropping out-of-order records",
                     )
                 )
-
-    def _abnormal_event(self, record: ProbeRecord) -> None:
-        self._abnormal += 1
-        self._m_abnormal.inc()
-        self._raise_alert(
-            Alert(
-                kind="abnormal",
-                function=record.function,
-                chain_uuid=record.chain_uuid,
-                detail=f"unexpected {record.event.name} at seq {record.event_seq}",
-            )
-        )
+        pending = reconstructor.pending_records()
+        if self._overflow_alerted and pending < self.max_pending:
+            self._overflow_alerted = False
+        self._m_pending.set(pending)
+        self._m_inflight.set(reconstructor.open_frame_count())
+        self._m_live_chains.set(reconstructor.live_chain_count())
 
     def _raise_alert(self, alert: Alert) -> None:
         self._alerts.append(alert)
@@ -361,20 +312,18 @@ class OnlineMonitor:
     # Views
 
     def open_invocations(self) -> list[OpenInvocation]:
-        """Everything currently in flight, deepest frames last."""
+        """Everything currently in flight, deepest frames last per chain."""
         with self._lock:
-            result = []
-            for stack in self._stacks.values():
-                result.extend(stack)
-            return result
+            return [
+                _open_invocation(node)
+                for node in self.reconstructor.open_frames()
+            ]
 
     def live_chain_count(self) -> int:
-        with self._lock:
-            return len(self._stacks)
+        return self.reconstructor.live_chain_count()
 
     def completed_calls(self) -> int:
-        with self._lock:
-            return self._completed_calls
+        return self.reconstructor.completed_nodes()
 
     def alerts(self) -> list[Alert]:
         with self._lock:
@@ -382,12 +331,12 @@ class OnlineMonitor:
 
     def pending_records(self) -> int:
         """Out-of-order records currently buffered awaiting their gap."""
-        with self._lock:
-            return self._pending_total
+        return self.reconstructor.pending_records()
 
     def latency_stats(self) -> dict[str, LatencyStats]:
         """function -> :class:`LatencyStats` for completed calls.
 
+        Latencies are the Section-3.2 L(F) of each completed call.
         Percentiles are streaming P² estimates: exact up to five
         observations, marker-interpolated beyond — no retained samples.
         """

@@ -3,12 +3,16 @@
 The offline analyzer reconstructs chains after the run completes; this
 package runs the same Figure-4 state machine *while the system runs*:
 
-- :class:`StreamingReconstructor` — an incremental DSCG state machine
-  over the collector drain path (or any live record stream). On a
-  fault-free completed stream its :meth:`~StreamingReconstructor.finalize`
-  output is bit-identical to the batch analyzer's
-  :func:`~repro.analysis.reconstruct` — both run through the shared
-  :class:`~repro.analysis.statemachine.ChainBuilder` transitions.
+- :class:`StreamingReconstructor` — the repo's one live engine: an
+  incremental DSCG state machine over the collector drain path (or any
+  live record stream). Whenever event numbers are unique per chain (any
+  fault-free stream, or any subset of one in any arrival order) its
+  :meth:`~StreamingReconstructor.finalize` output is bit-identical to
+  the batch analyzer's :func:`~repro.analysis.reconstruct` — both run
+  through the shared :class:`~repro.analysis.statemachine.ChainBuilder`
+  transitions. The detector below and
+  :class:`~repro.analysis.online.OnlineMonitor` (live latency stats and
+  alerts behind ``repro metrics``) both consume it.
 - :class:`StreamingDetector` — rolling per-(interface, operation)
   latency baselines (windowed median/MAD), robust z-score spike
   detection with persistence filtering, and incident life-cycle

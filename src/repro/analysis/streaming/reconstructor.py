@@ -11,12 +11,12 @@ event number comes up.
 Equivalence contract: after :meth:`StreamingReconstructor.finalize`, the
 resulting :class:`~repro.analysis.dscg.Dscg` is bit-identical to
 ``reconstruct(store, run)`` over the same records whenever event numbers
-are unique per chain (any fault-free run, and every fault domain that
-loses or delays records rather than duplicating event numbers). Records
-that *collide* on an event number — the mingled-chain hazard — are
-applied immediately and take the same abnormal transition the batch
-analyzer records, though the relative order of abnormal entries may
-differ.
+are unique per chain: any fault-free run, and any subset of one in any
+arrival order (records lost, delayed or reordered). Records that
+*collide* on an event number — a duplicate delivery, or the
+mingled-chain hazard — are flagged with an abnormal entry on their chain
+and then applied immediately, so such a chain is never clean, though its
+tree may differ from the batch analyzer's.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Iterable
 
-from repro.analysis.dscg import CallNode, Dscg
-from repro.analysis.statemachine import ChainBuilder
+from repro.analysis.dscg import AbnormalEvent, CallNode, Dscg
+from repro.analysis.statemachine import _STUB_START, ChainBuilder
 from repro.core.records import ProbeRecord
 from repro.platform.process import SimProcess
 
@@ -33,15 +33,22 @@ from repro.platform.process import SimProcess
 CompletionHook = Callable[[CallNode, ProbeRecord, int], None]
 
 
-class _ChainStream:
-    """Live reconstruction state for one causal chain."""
+class _ChainStream(ChainBuilder):
+    """One causal chain's Figure-4 machine plus its re-serialization
+    buffer; every abnormal entry it records is also appended to the
+    reconstructor-wide log."""
 
-    __slots__ = ("builder", "expected_seq", "pending")
+    __slots__ = ("expected_seq", "pending", "abnormal_log")
 
-    def __init__(self, chain_uuid: str):
-        self.builder = ChainBuilder(chain_uuid)
+    def __init__(self, chain_uuid: str, abnormal_log: list[AbnormalEvent]):
+        super().__init__(chain_uuid)
         self.expected_seq = 0
         self.pending: dict[int, ProbeRecord] = {}
+        self.abnormal_log = abnormal_log
+
+    def _abnormal(self, reason: str, record: ProbeRecord) -> None:
+        super()._abnormal(reason, record)
+        self.abnormal_log.append(self.tree.abnormal[-1])
 
 
 class StreamingReconstructor:
@@ -51,7 +58,9 @@ class StreamingReconstructor:
     or attach to live processes and call :meth:`poll` (non-draining
     cursor reads, so the quiescence-time collector still sees every
     record). ``on_complete`` fires inline whenever a call frame closes —
-    the hook the spike detector hangs off.
+    the hook the spike detector and the online monitor hang off.
+    :attr:`abnormal_events` logs every abnormal transition and
+    event-number collision as it happens, across all chains.
 
     ``max_pending`` bounds the re-serialization buffer across all
     chains: a stalled chain (its gap record lost in flight) cannot grow
@@ -70,9 +79,13 @@ class StreamingReconstructor:
         self.max_pending = max_pending
         self.records_ingested = 0
         self.pending_dropped = 0
+        self.abnormal_events: list[AbnormalEvent] = []
         self._chains: dict[str, _ChainStream] = {}
         self._pending_total = 0
         self._completed_nodes = 0
+        self._open_frames = 0
+        #: Chains with a frame open, so live views skip finished chains.
+        self._live: set[_ChainStream] = set()
         self._finalized: Dscg | None = None
         self._lock = threading.Lock()
         self._cursors: dict[int, Any] = {}
@@ -81,44 +94,38 @@ class StreamingReconstructor:
     # Ingest
 
     def ingest(self, record: ProbeRecord) -> None:
-        with self._lock:
-            self._enqueue_locked(record)
+        self.ingest_many((record,))
 
     def ingest_many(self, records: Iterable[ProbeRecord]) -> int:
-        count = 0
         with self._lock:
-            for record in records:
-                self._enqueue_locked(record)
-                count += 1
-        return count
+            return self._enqueue_all_locked(records)
 
     def poll(self, processes: Iterable[SimProcess]) -> int:
         """Pull new records from process buffers without draining them."""
         new = 0
         with self._lock:
             for process in processes:
-                buffer = process.log_buffer
-                read_from = getattr(buffer, "read_from", None)
-                if read_from is not None:
-                    records, cursor = read_from(self._cursors.get(process.pid))
-                    self._cursors[process.pid] = cursor
-                else:
-                    snapshot = buffer.snapshot()
-                    offset = self._cursors.get(process.pid, 0)
-                    records = snapshot[offset:]
-                    self._cursors[process.pid] = len(snapshot)
-                for record in records:
-                    self._enqueue_locked(record)
-                    new += 1
+                records, self._cursors[process.pid] = process.log_buffer.read_from(
+                    self._cursors.get(process.pid)
+                )
+                new += self._enqueue_all_locked(records)
         return new
 
-    def _enqueue_locked(self, record: ProbeRecord) -> None:
+    def _enqueue_all_locked(self, records: Iterable[ProbeRecord]) -> int:
         if self._finalized is not None:
             raise RuntimeError("cannot ingest into a finalized reconstructor")
+        before = self.records_ingested
+        for record in records:
+            self._enqueue_locked(record)
+        return self.records_ingested - before
+
+    def _enqueue_locked(self, record: ProbeRecord) -> None:
         self.records_ingested += 1
         stream = self._chains.get(record.chain_uuid)
         if stream is None:
-            stream = self._chains[record.chain_uuid] = _ChainStream(record.chain_uuid)
+            stream = self._chains[record.chain_uuid] = _ChainStream(
+                record.chain_uuid, self.abnormal_events
+            )
         seq = record.event_seq
         if seq == stream.expected_seq:
             self._apply_locked(stream, record)
@@ -141,17 +148,36 @@ class StreamingReconstructor:
             stream.pending[seq] = record
             self._pending_total += 1
         else:
-            # Event-number collision (a duplicate, or mingled chains):
-            # apply immediately — the machine takes the same abnormal
-            # transition the batch analyzer's sorted pass would.
+            # Event-number collision (a duplicate, or mingled chains): an
+            # earlier record already holds this number. Flag the chain,
+            # then apply the record now.
+            stream._abnormal(
+                f"event number {seq} collides with an earlier record", record
+            )
             self._apply_locked(stream, record)
 
     def _apply_locked(self, stream: _ChainStream, record: ProbeRecord) -> None:
-        completed = stream.builder.apply(record)
-        if completed is not None:
-            self._completed_nodes += 1
-            if self.on_complete is not None:
-                self.on_complete(completed, record, self.records_ingested)
+        # Keeps the live counts O(1). Per Figure 4, any start can open a
+        # frame on an idle chain, only stub_start opens one on a busy
+        # chain, and a frame closes only by completing.
+        stack = stream.stack
+        if not stack:
+            stream.apply(record)
+            if stack:
+                self._open_frames += 1
+                self._live.add(stream)
+            return
+        completed = stream.apply(record)
+        if completed is None:
+            if record.event is _STUB_START:
+                self._open_frames += 1
+            return
+        self._open_frames -= 1
+        if not stack:
+            self._live.discard(stream)
+        self._completed_nodes += 1
+        if self.on_complete is not None:
+            self.on_complete(completed, record, self.records_ingested)
 
     # ------------------------------------------------------------------
     # Live views
@@ -159,14 +185,19 @@ class StreamingReconstructor:
     def live_chain_count(self) -> int:
         """Chains with at least one frame still open."""
         with self._lock:
-            return sum(1 for s in self._chains.values() if s.builder.stack)
+            return len(self._live)
+
+    def open_frame_count(self) -> int:
+        """Invocations currently in flight, across all chains."""
+        with self._lock:
+            return self._open_frames
 
     def open_frames(self) -> list[CallNode]:
         """Every invocation currently in flight, outermost first per chain."""
         with self._lock:
             frames: list[CallNode] = []
-            for chain_uuid in sorted(self._chains):
-                frames.extend(self._chains[chain_uuid].builder.stack)
+            for stream in sorted(self._live, key=lambda s: s.tree.chain_uuid):
+                frames.extend(stream.stack)
             return frames
 
     def completed_nodes(self) -> int:
@@ -212,7 +243,7 @@ class StreamingReconstructor:
                         self._apply_locked(stream, stream.pending[seq])
                     self._pending_total -= len(stream.pending)
                     stream.pending.clear()
-                dscg.add_chain(stream.builder.finish())
+                dscg.add_chain(stream.finish())
             dscg.link_chains()
             self._finalized = dscg
             return dscg

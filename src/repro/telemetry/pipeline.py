@@ -5,9 +5,12 @@ management" of the paper's Section 6, closed into a loop: the same probe
 records the quiescence-time collector gathers are streamed through the
 :class:`~repro.analysis.online.OnlineMonitor` *while the system runs*,
 and the monitor keeps a :class:`~repro.telemetry.metrics.MetricsRegistry`
-current with in-flight gauges, rolling latency histograms and SLO-breach
-counters. :func:`~repro.telemetry.exposition.render_prometheus` turns
-any snapshot into a scrape body.
+current with in-flight gauges, rolling latency histograms (the paper's
+Section-3.2 L(F)) and SLO-breach counters.
+:func:`~repro.telemetry.exposition.render_prometheus` turns any snapshot
+into a scrape body. The monitor runs on the one live engine,
+:class:`~repro.analysis.streaming.StreamingReconstructor`, so the
+pipeline holds the run's chain trees in memory until it is dropped.
 
 The pipeline can be driven manually (:meth:`LiveMetricsPipeline.poll`)
 or from a background sampler thread (:meth:`start`/:meth:`stop`)."""

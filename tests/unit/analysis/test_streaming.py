@@ -123,6 +123,47 @@ class TestStreamingReconstructor:
         with pytest.raises(RuntimeError):
             streaming.ingest(records[0])
 
+    def test_late_event_number_collision_is_flagged(self):
+        # One oneway skeleton leg delivered as
+        # [skel_end#1, skel_start#0, skel_start#0, skel_end#1]: the
+        # repeats collide with numbers already applied and must not pass
+        # as a second, clean call.
+        records = records_for([Call("I::W", cpu_ns=30, oneway=True)])
+        start, end = [r for r in records if r.event.name.startswith("SKEL")]
+        assert (start.event_seq, end.event_seq) == (0, 1)
+        streaming = StreamingReconstructor()
+        streaming.ingest_many([end, start, start, end])
+        tree = streaming.finalize().chains[start.chain_uuid]
+        assert not tree.is_clean
+        assert [a.event_seq for a in tree.abnormal] == [0, 1]
+        assert streaming.abnormal_events == tree.abnormal
+
+    def test_pending_event_number_collision_is_flagged(self):
+        records = records_for([Call("I::F", cpu_ns=10)])
+        streaming = StreamingReconstructor()
+        streaming.ingest_many([records[2], records[2]])  # seq 2 twice, gap at 0
+        assert streaming.pending_records() == 1
+        # The repeat is flagged as a collision, then applied ahead of its
+        # gap, where the machine flags it again as an orphan skel_end.
+        collision, orphan = streaming.abnormal_events
+        assert (collision.event_seq, orphan.event_seq) == (2, 2)
+        assert "collides" in collision.reason
+
+    def test_live_counts_track_open_frames(self):
+        records = records_for(
+            [Call("I::F", cpu_ns=5, children=(Call("I::G", cpu_ns=2),)),
+             Call("I::W", oneway=True)]
+        )
+        streaming = StreamingReconstructor()
+        for record in records:
+            streaming.ingest(record)
+            frames = streaming.open_frames()
+            assert streaming.open_frame_count() == len(frames)
+            assert streaming.live_chain_count() == len(
+                {frame.chain_uuid for frame in frames}
+            )
+        assert streaming.open_frame_count() == 0
+
     def test_finalize_flushes_stalled_pending(self):
         records = records_for([Call("I::F", cpu_ns=10)])
         streaming = StreamingReconstructor()
